@@ -10,6 +10,7 @@ dataset + model settings, since benchmarks re-time inference only.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 
 from pyspark.ml import Pipeline as MLPipeline
@@ -28,11 +29,9 @@ from pyspark.ml.feature import (
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.data.datasets import LABEL, DatasetSpec
+from repro.ml.pipeline import CACHE_DIR
 
-_CACHE_DIR = os.environ.get(
-    "REPRO_MODEL_CACHE",
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache"),
-)
+log = logging.getLogger(__name__)
 
 
 def _stages(spec: DatasetSpec, kind: str, hp: dict):
@@ -86,11 +85,14 @@ def train_sparkml(
     tag = hashlib.sha1(
         f"{spec.name}/{kind}/{sorted(hp.items())!r}".encode()
     ).hexdigest()[:16]
-    path = os.path.join(_CACHE_DIR, f"sparkml_{tag}")
+    path = os.path.join(CACHE_DIR, f"sparkml_{tag}")
     if os.path.exists(path):
-        return PipelineModel.load(path)
+        try:
+            return PipelineModel.load(path)
+        except Exception as e:  # corrupt or partial save: a miss
+            log.warning("unreadable model cache entry %s (%r); retraining", path, e)
     model = MLPipeline(stages=_stages(spec, kind, hp)).fit(train_df)
-    os.makedirs(_CACHE_DIR, exist_ok=True)
+    os.makedirs(CACHE_DIR, exist_ok=True)
     model.write().overwrite().save(path)
     return model
 

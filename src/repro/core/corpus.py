@@ -15,7 +15,6 @@ Measurements are cached on disk; everything is deterministic in the seed.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass
 
@@ -26,16 +25,11 @@ import pandas as pd
 from repro.core.features import pipeline_features
 from repro.core.ml2sql import compile_to_sql
 from repro.ir.builder import build_pipeline_ir
-from repro.ml.pipeline import fit_pipeline
+from repro.ml.pipeline import CACHE_DIR, fit_pipeline, load_or_build
 from repro.runtime import onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn
 
 OPTIONS = ("none", "sql", "dnn")
-
-_CACHE_DIR = os.environ.get(
-    "REPRO_MODEL_CACHE",
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache"),
-)
 
 
 @dataclass
@@ -106,20 +100,6 @@ def _corpus_pipelines(n_pipelines: int, n_rows_train: int, n_rows_eval: int,
         yield p, eval_pdf
 
 
-def _load_or_build(path: str, cache: bool, builder) -> list[CorpusEntry]:
-    if cache and os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
-    entries = builder()
-    if cache:
-        os.makedirs(_CACHE_DIR, exist_ok=True)
-        tmp = path + f".tmp{os.getpid()}"
-        with open(tmp, "wb") as f:
-            pickle.dump(entries, f)
-        os.replace(tmp, path)
-    return entries
-
-
 def build_corpus(
     n_pipelines: int = 120, *, n_rows_train: int = 1500, n_rows_eval: int = 20_000,
     seed: int = 7, cache: bool = True,
@@ -164,10 +144,8 @@ def build_corpus(
             entries.append(CorpusEntry(pipeline_features(p), runtimes))
         return entries
 
-    return _load_or_build(
-        os.path.join(_CACHE_DIR, f"corpus_v2_{n_pipelines}_{n_rows_eval}_{seed}.pkl"),
-        cache, build,
-    )
+    path = os.path.join(CACHE_DIR, f"corpus_v2_{n_pipelines}_{n_rows_eval}_{seed}.pkl")
+    return load_or_build(path, build) if cache else build()
 
 
 def build_corpus_spark(
@@ -231,12 +209,8 @@ def build_corpus_spark(
             print(f"[corpus-spark] {i + 1}/{n_pipelines} {runtimes}", flush=True)
         return entries
 
-    return _load_or_build(
-        os.path.join(
-            _CACHE_DIR, f"corpus_spark_{n_pipelines}_{n_rows_eval}_{seed}.pkl"
-        ),
-        cache, build,
-    )
+    path = os.path.join(CACHE_DIR, f"corpus_spark_{n_pipelines}_{n_rows_eval}_{seed}.pkl")
+    return load_or_build(path, build) if cache else build()
 
 
 def corpus_matrices(entries: list[CorpusEntry]):

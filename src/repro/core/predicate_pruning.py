@@ -19,6 +19,7 @@ leaf.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,17 @@ def merge_predicates(preds: list[Predicate]) -> dict[str, tuple]:
     return out
 
 
+def _literal_fits(pred: Predicate, kind: str | None) -> bool:
+    """Whether ``pred`` may bind or prune a model input of ``kind``: a string
+    equality on a categorical input, a number on a numeric one. Any other
+    predicate (``asthma = 0``, ``asthma > 'a'``, a column the model does not
+    read) is left to the engine's filter, whose literal coercion the rule
+    does not model."""
+    if kind == "cat":
+        return pred.op == "=" and isinstance(pred.value, str)
+    return kind == "num" and isinstance(pred.value, numbers.Real)
+
+
 def apply_predicate_pruning(p: Pipeline, predicates: list[Predicate]) -> PruneResult:
     """Returns an equivalent-on-qualifying-rows pipeline, possibly smaller.
 
@@ -77,11 +89,10 @@ def apply_predicate_pruning(p: Pipeline, predicates: list[Predicate]) -> PruneRe
     resolved (unsupported graph shape) — "executed but not optimized".
     """
     p = p.clone()
-    if not predicates:
-        return PruneResult(p)
-    merged = merge_predicates(predicates)
-    input_cols = set(p.input_cols)
-    merged = {c: v for c, v in merged.items() if c in input_cols}
+    kinds = {n.attrs["name"]: n.attrs["kind"] for n in p.input_nodes()}
+    merged = merge_predicates(
+        [q for q in predicates if _literal_fits(q, kinds.get(q.col))]
+    )
     if not merged:
         return PruneResult(p)
 
@@ -101,32 +112,41 @@ def apply_predicate_pruning(p: Pipeline, predicates: list[Predicate]) -> PruneRe
     p = p.gc()
 
     # Step 2: interval propagation through featurizers, then model pruning.
+    return PruneResult(p, bound, prune_to_intervals(p, merged))
+
+
+def prune_to_intervals(p: Pipeline, predicates: dict[str, tuple]) -> int:
+    """Prune ``p``'s model in place against the per-slot intervals that
+    ``predicates`` (the slot-interval encoding of :mod:`repro.ir.slots`)
+    induce: every tree is pruned, a linear model folds its exactly-known
+    slots into the intercept. Shared by the WHERE-predicate rule and
+    data-induced pruning (§4.2). Returns the number of tree nodes (or
+    linear terms) removed; 0 when slot provenance cannot be resolved.
+    """
     try:
         slots = model_input_slots(p)
     except ValueError:
-        return PruneResult(p, bound)
-    lo, hi = slot_intervals(slots, merged)
-
+        return 0
+    lo, hi = slot_intervals(slots, predicates)
     model = p.model_node
-    removed = 0
     if model.op == "tree_ensemble":
+        removed = 0
         new_trees = []
         for t in model.attrs["trees"]:
             nt = t.prune_with_intervals(lo, hi)
             removed += t.n_nodes - nt.n_nodes
             new_trees.append(nt)
         model.attrs["trees"] = new_trees
-    else:  # linear: fold exactly-known slots into the intercept
-        coef = np.asarray(model.attrs["coef"], dtype=np.float64).copy()
-        intercept = float(model.attrs["intercept"])
-        known = lo == hi
-        folded = known & (coef != 0.0)
-        intercept += float(np.sum(coef[known] * lo[known]))
-        coef[known] = 0.0
-        removed = int(np.sum(folded))
-        model.attrs["coef"] = coef
-        model.attrs["intercept"] = intercept
-    return PruneResult(p, bound, removed)
+        return removed
+    coef = np.asarray(model.attrs["coef"], dtype=np.float64).copy()
+    known = lo == hi
+    removed = int(np.sum(known & (coef != 0.0)))
+    model.attrs["intercept"] = float(model.attrs["intercept"]) + float(
+        np.sum(coef[known] * lo[known])
+    )
+    coef[known] = 0.0
+    model.attrs["coef"] = coef
+    return removed
 
 
 def apply_output_predicate_pruning(p: Pipeline, label_value: int) -> Pipeline:

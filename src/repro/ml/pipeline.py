@@ -11,6 +11,7 @@ inputs one-hot encoded, the concatenated feature vector feeds one of
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -24,6 +25,8 @@ from repro.ml.linear import LogisticRegression
 from repro.ml.tree import DecisionTree
 
 MODEL_KINDS = ("lr", "dt", "gb", "rf")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -133,9 +136,35 @@ def fit_pipeline(
 # ----------------------------------------------------------------------
 # Disk cache: jobs, tests, and benchmarks retrain the same pipelines many
 # times; training the larger gradient-boosting models is the expensive part.
-_CACHE_DIR = os.environ.get(
+# The one cache directory of the code base (pipelines here, corpora in
+# repro.core.corpus, pyspark.ml models in repro.baselines.sparkml). It is
+# read at import, so ``REPRO_MODEL_CACHE`` must be set before repro loads.
+CACHE_DIR = os.environ.get(
     "REPRO_MODEL_CACHE", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache")
 )
+
+
+def load_or_build(path: str, build):
+    """Unpickle the cache entry ``path``, or ``build()`` it and write it
+    atomically. An entry that does not unpickle (corrupt, truncated, from
+    an incompatible version) is a miss: logged, rebuilt and rewritten."""
+    if os.path.exists(path):
+        try:
+            with open(path, "rb") as f:
+                obj = pickle.load(f)
+            log.debug("model cache hit: %s", path)
+            return obj
+        except Exception as e:
+            log.warning("unreadable model cache entry %s (%r); rebuilding", path, e)
+    else:
+        log.debug("model cache miss: %s", path)
+    obj = build()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + f".tmp{os.getpid()}"
+    with open(tmp, "wb") as f:
+        pickle.dump(obj, f)
+    os.replace(tmp, path)
+    return obj
 
 
 def fit_pipeline_cached(pdf: pd.DataFrame, key: str, **kwargs) -> TrainedPipeline:
@@ -147,14 +176,5 @@ def fit_pipeline_cached(pdf: pd.DataFrame, key: str, **kwargs) -> TrainedPipelin
     tag = hashlib.sha1(
         (key + repr(sorted(kwargs.items()))).encode()
     ).hexdigest()[:16]
-    path = os.path.join(_CACHE_DIR, f"pipeline_{tag}.pkl")
-    if os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
-    tp = fit_pipeline(pdf, **kwargs)
-    os.makedirs(_CACHE_DIR, exist_ok=True)
-    tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "wb") as f:
-        pickle.dump(tp, f)
-    os.replace(tmp, path)
-    return tp
+    path = os.path.join(CACHE_DIR, f"pipeline_{tag}.pkl")
+    return load_or_build(path, lambda: fit_pipeline(pdf, **kwargs))

@@ -30,7 +30,7 @@ import pandas as pd
 
 from repro.ir.graph import Pipeline
 from repro.ir.tree import LEAF, Tree
-from repro.ml.ensemble import sigmoid
+from repro.runtime import onnx_rt
 
 
 @dataclass
@@ -169,8 +169,9 @@ def compile_traversal(trees: list[Tree]) -> TreeTravEnsemble:
 
 @dataclass
 class DnnModel:
-    """The tensorized pipeline: featurizers (as tensor ops via the IR
-    interpreter's kernels) + GEMM tree program / dense linear layer."""
+    """The tensorized pipeline: the shared featurizer
+    (:func:`repro.runtime.onnx_rt.featurize`) + GEMM tree program / dense
+    linear layer."""
 
     pipeline: Pipeline
     trees: list[TreeGemm] = field(default_factory=list)
@@ -184,23 +185,10 @@ class DnnModel:
     n_features: int = 0
 
     # -- execution ------------------------------------------------------
-    def _featurize(self, pdf: pd.DataFrame) -> np.ndarray:
-        from repro.runtime import onnx_rt  # featurizer kernels are tensor ops
-
-        model = self.pipeline.model_node
-        values: dict[str, np.ndarray] = {}
-        for nid in self.pipeline.topo_order():
-            node = self.pipeline.nodes[nid]
-            if node.op in ("linear_classifier", "tree_ensemble"):
-                break
-            _eval_one(node, values, pdf)
-        return np.hstack([values[i] for i in model.inputs]).astype(np.float32)
-
     def predict(self, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-        X = self._featurize(pdf)
+        X = onnx_rt.featurize(self.pipeline, pdf).astype(np.float32)
         if self.kind == "lr":
-            margin = X @ self.coef + self.intercept
-            return (margin > 0).astype(np.int64), sigmoid(margin)
+            return onnx_rt.head("lr", X @ self.coef + self.intercept)
         if self.strategy == "traversal":
             acc = self.trav.run_sum(X)
         else:
@@ -208,11 +196,8 @@ class DnnModel:
             for tg in self.trees:
                 acc += tg.run(X)
         if self.kind == "gb":
-            margin = acc[:, 0] + self.base_score
-            return (margin > 0).astype(np.int64), sigmoid(margin)
-        proba = acc / self.n_trees
-        label = np.argmax(proba, axis=1).astype(np.int64)
-        return label, proba[:, 1] if proba.shape[1] > 1 else proba[:, 0]
+            return onnx_rt.head("gb", acc[:, 0] + self.base_score)
+        return onnx_rt.head(self.kind, acc, self.n_trees)
 
     # -- cost metadata for the GPU model --------------------------------
     def flops(self, n_rows: int) -> int:
@@ -237,39 +222,6 @@ class DnnModel:
 
     def input_bytes(self, n_rows: int) -> int:
         return 4 * n_rows * self.n_features
-
-
-def _eval_one(node, values: dict, pdf: pd.DataFrame) -> None:
-    """Single-node featurizer kernels (shared semantics with onnx_rt)."""
-    if node.op == "input":
-        col = node.attrs["name"]
-        if node.attrs["kind"] == "num":
-            values[node.id] = pdf[col].to_numpy(dtype=np.float64)[:, None]
-        else:
-            values[node.id] = pdf[col].astype(str).to_numpy()[:, None]
-    elif node.op == "constant":
-        v = node.attrs["value"]
-        values[node.id] = (
-            np.full((len(pdf), 1), v, dtype=object)
-            if isinstance(v, str)
-            else np.full((len(pdf), 1), float(v))
-        )
-    elif node.op == "scaler":
-        values[node.id] = (values[node.inputs[0]] - node.attrs["offset"]) * node.attrs["scale"]
-    elif node.op == "onehot":
-        col = values[node.inputs[0]][:, 0]
-        cats = node.attrs["categories"]
-        codes = pd.Index(cats).get_indexer(pd.Index(col))
-        out = np.zeros((len(col), len(cats)), dtype=np.float64)
-        rows = np.flatnonzero(codes >= 0)
-        out[rows, codes[rows]] = 1.0
-        values[node.id] = out
-    elif node.op == "concat":
-        values[node.id] = np.hstack([values[i] for i in node.inputs])
-    elif node.op == "feature_extractor":
-        values[node.id] = values[node.inputs[0]][:, node.attrs["indices"]]
-    else:  # pragma: no cover
-        raise ValueError(f"unexpected op {node.op}")
 
 
 def compile_to_dnn(p: Pipeline) -> DnnModel:

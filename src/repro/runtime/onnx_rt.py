@@ -7,23 +7,31 @@ batched analogue of ONNX Runtime's TreeEnsemble kernel), BLAS matvec for
 linear models.
 
 Returns ``(label, score)`` with ``score = P(class 1)`` for binary models.
+:func:`featurize` and :func:`head` are the featurizer and the label/score
+head of all three ML runtimes: :mod:`repro.runtime.reference_rt` and
+:mod:`repro.runtime.dnn_rt` differ from this one only in the model kernel
+between them.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.ir.graph import Pipeline
+from repro.ir.graph import MODEL_OPS, Pipeline
+from repro.ir.tree import Tree
 from repro.ml.ensemble import sigmoid
 
 
-def run(p: Pipeline, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Execute ``p`` over ``pdf``; returns (label int64, score float64)."""
+def featurize(p: Pipeline, pdf: pd.DataFrame) -> np.ndarray:
+    """Run the featurizers of ``p`` over ``pdf``; returns the model node's
+    float64 input matrix as computed (not copied)."""
     n = len(pdf)
     values: dict[str, np.ndarray] = {}
     for nid in p.topo_order():
         node = p.nodes[nid]
         op = node.op
+        if op in MODEL_OPS:
+            return values[node.inputs[0]]
         if op == "input":
             col = node.attrs["name"]
             if node.attrs["kind"] == "num":
@@ -53,38 +61,46 @@ def run(p: Pipeline, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
             values[nid] = np.hstack([values[i] for i in node.inputs])
         elif op == "feature_extractor":
             values[nid] = values[node.inputs[0]][:, node.attrs["indices"]]
-        elif op == "linear_classifier":
-            X = values[node.inputs[0]]
-            margin = X @ node.attrs["coef"] + node.attrs["intercept"]
-            score = sigmoid(margin)
-            return (margin > 0).astype(np.int64), score
-        elif op == "tree_ensemble":
-            X = np.ascontiguousarray(values[node.inputs[0]], dtype=np.float32)
-            return _tree_ensemble(node.attrs, X)
         else:  # pragma: no cover - graph validation rules this out
             raise ValueError(f"unknown op {op}")
     raise ValueError("pipeline has no model node")
 
 
-def _tree_ensemble(attrs: dict, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    kind = attrs["kind"]
+def head(kind: str, acc: np.ndarray, n_trees: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(label int64, score float64) from a model kernel's output.
+
+    ``acc`` is the margin for ``kind`` "lr" and "gb", and the summed
+    class-probability payloads ``(n, n_out)`` of ``n_trees`` trees for "dt"
+    and "rf" (averaged, argmax label).
+    """
+    if kind in ("lr", "gb"):
+        return (acc > 0).astype(np.int64), sigmoid(acc)
+    proba = acc / n_trees
+    label = np.argmax(proba, axis=1).astype(np.int64)
+    return label, proba[:, 1] if proba.shape[1] > 1 else proba[:, 0]
+
+
+def run(p: Pipeline, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Execute ``p`` over ``pdf``; returns (label int64, score float64)."""
+    X = featurize(p, pdf)
+    model = p.model_node
+    if model.op == "linear_classifier":
+        return head("lr", X @ model.attrs["coef"] + model.attrs["intercept"])
+    return tree_ensemble(model.attrs, np.ascontiguousarray(X, dtype=np.float32))
+
+
+def tree_ensemble(
+    attrs: dict, X: np.ndarray, tree_values=Tree.predict_value
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the ``(n, n_out)`` leaf payloads ``tree_values(tree, X)`` of every
+    tree of a ``tree_ensemble`` node, then apply :func:`head`."""
     trees = attrs["trees"]
-    if kind == "gb":
-        margin = np.full(X.shape[0], attrs["base_score"])
+    if attrs["kind"] == "gb":
+        margin = np.full(X.shape[0], attrs["base_score"], dtype=np.float64)
         for t in trees:
-            margin += t.predict_value(X)[:, 0]
-        return (margin > 0).astype(np.int64), sigmoid(margin)
-    # dt / rf: average class-probability payloads, argmax label
+            margin += tree_values(t, X)[:, 0]
+        return head("gb", margin)
     acc = np.zeros((X.shape[0], trees[0].n_out))
     for t in trees:
-        acc += t.predict_value(X)
-    proba = acc / len(trees)
-    label = np.argmax(proba, axis=1).astype(np.int64)
-    score = proba[:, 1] if proba.shape[1] > 1 else proba[:, 0]
-    return label, score
-
-
-def predict_frame(p: Pipeline, pdf: pd.DataFrame) -> pd.DataFrame:
-    """Convenience: batch in, ``prediction``/``score`` columns out."""
-    label, score = run(p, pdf)
-    return pd.DataFrame({"prediction": label, "score": score}, index=pdf.index)
+        acc += tree_values(t, X)
+    return head(attrs["kind"], acc, len(trees))

@@ -25,6 +25,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+from repro.core.ml2sql import _lit
 from repro.core.optimizer import PhysicalPlan
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
@@ -35,7 +36,8 @@ PREDICT_BATCH_ROWS = 10_000
 
 
 def _pred_sql(p: Predicate) -> str:
-    v = f"'{p.value}'" if isinstance(p.value, str) else repr(float(p.value))
+    # strings share MLtoSQL's quoting ('O''Brien'); numbers stay plain
+    v = _lit(p.value) if isinstance(p.value, str) else repr(float(p.value))
     return f"{p.col} {p.op} {v}"
 
 

@@ -14,6 +14,8 @@ from repro.core.data_induced import (
     collect_stats_pandas,
     compile_partitioned_models,
 )
+from repro.core.optimizer import OptimizerConfig, RavenOptimizer
+from repro.core.parser import parse_prediction_query
 from repro.core.predicate_pruning import (
     Predicate,
     PruneResult,
@@ -222,6 +224,34 @@ class TestProjectionPushdown:
         assert res.removed_cols == ["age", "asthma"]
         l, _ = onnx_rt.run(res.pipeline, pdf)
         assert (l == 0).all()
+
+
+class TestMistypedLiterals:
+    """A literal whose kind does not match its input (a number on a
+    categorical column, a string range) is left to the engine's filter:
+    pruning must neither mispredict on the qualifying rows nor raise."""
+
+    def _plans(self, frame, where):
+        p = _ir(frame, "dt", max_depth=8)
+        q = parse_prediction_query(
+            f"SELECT PREDICT(m, *) AS prediction FROM t WHERE {where}",
+            {"m": p}, {"t": list(frame.columns)},
+        )
+        return p, RavenOptimizer(OptimizerConfig(runtime="none")).optimize(q).pipeline
+
+    def test_number_equality_on_categorical_input(self, frame):
+        p, opt = self._plans(frame, "asthma = 0")
+        # engines coerce the string column to a number: "0" qualifies
+        sub = frame[frame.asthma.astype(float) == 0]
+        l0, _ = onnx_rt.run(p, sub)
+        l1, _ = onnx_rt.run(opt, sub[opt.input_cols])
+        np.testing.assert_array_equal(l1, l0)
+
+    def test_string_range_on_categorical_input(self, frame):
+        p, opt = self._plans(frame, "asthma > 'a'")
+        l0, _ = onnx_rt.run(p, frame)
+        l1, _ = onnx_rt.run(opt, frame[opt.input_cols])
+        np.testing.assert_array_equal(l1, l0)
 
 
 class TestDataInduced:

@@ -1,0 +1,51 @@
+"""The model cache treats an unreadable entry as a miss: it logs the entry,
+rebuilds it and rewrites it atomically instead of failing the caller."""
+import logging
+import pickle
+
+import numpy as np
+import pandas as pd
+
+from repro.core import corpus
+from repro.ml import pipeline as ml_pipeline
+
+#: what a damaged entry looks like to pickle ("invalid load key")
+GARBAGE = b"\x00\x01 not a pickle"
+
+
+def _rebuilds_garbage_entry(tmp_path, caplog, pattern, build):
+    build()  # miss: writes the entry
+    [path] = tmp_path.glob(pattern)
+    path.write_bytes(GARBAGE)
+    with caplog.at_level(logging.WARNING, logger="repro.ml.pipeline"):
+        rebuilt = build()
+    assert "unreadable model cache entry" in caplog.text
+    with open(path, "rb") as f:
+        return rebuilt, pickle.load(f)
+
+
+def test_garbage_pipeline_entry_is_rebuilt(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(ml_pipeline, "CACHE_DIR", str(tmp_path))
+    rng = np.random.default_rng(0)
+    pdf = pd.DataFrame(
+        {"x": rng.standard_normal(80), "c": rng.choice(["a", "b"], 80)}
+    )
+    pdf["label"] = (pdf.x > 0).astype(int)
+    rebuilt, on_disk = _rebuilds_garbage_entry(
+        tmp_path, caplog, "pipeline_*.pkl",
+        lambda: ml_pipeline.fit_pipeline_cached(
+            pdf, "tiny", num_cols=["x"], cat_cols=["c"], label_col="label",
+            model_kind="dt", max_depth=2,
+        ),
+    )
+    np.testing.assert_array_equal(on_disk.predict(pdf), rebuilt.predict(pdf))
+
+
+def test_garbage_corpus_entry_is_rebuilt(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(corpus, "CACHE_DIR", str(tmp_path))
+    # a corpus with no members: nothing is trained or priced
+    rebuilt, on_disk = _rebuilds_garbage_entry(
+        tmp_path, caplog, "corpus_*.pkl",
+        lambda: corpus.build_corpus(0, n_rows_eval=10, seed=1),
+    )
+    assert rebuilt == on_disk == []

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.optimizer import OptimizerConfig, RavenOptimizer
+from repro.core.parser import parse_prediction_query
 from repro.core.predicate_pruning import Predicate
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
@@ -80,6 +81,35 @@ class TestSqlServerSim:
         finally:
             eng.close()
         assert res.agg["n"].sum() == (frame.asthma == "1").sum()
+
+    def test_quoted_string_literal(self):
+        # the parser unescapes 'O''Brien'; the engine must re-escape it
+        rng = np.random.default_rng(64)
+        t = pd.DataFrame(
+            {
+                "x": rng.standard_normal(600),
+                "owner": rng.choice(["O'Brien", "Smith", "Lee"], 600),
+            }
+        )
+        t["label"] = ((t.x > 0) | (t.owner == "O'Brien")).astype(int)
+        p = build_pipeline_ir(
+            fit_pipeline(t, ["x"], ["owner"], "label", "dt", max_depth=3)
+        )
+        q = parse_prediction_query(
+            "SELECT PREDICT(m, *) AS prediction FROM people "
+            "WHERE owner = 'O''Brien'",
+            {"m": p}, {"people": ["x", "owner"]},
+        )
+        assert q.where[0].value == "O'Brien"
+        plan = RavenOptimizer(OptimizerConfig(runtime="sql")).optimize(q)
+        eng = SqlServerSim({"people": t.drop(columns="label")}, threads=1)
+        try:
+            base = eng.run_predict_statement(q, p)
+            opt = eng.run_raven_sql(plan)
+        finally:
+            eng.close()
+        assert base.agg["n"].sum() == (t.owner == "O'Brien").sum()
+        pd.testing.assert_frame_equal(base.agg, opt.agg, check_dtype=False)
 
     def test_dop_control(self, hosp):
         spec, tables, frame = hosp
