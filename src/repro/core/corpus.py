@@ -23,13 +23,20 @@ import numpy as np
 import pandas as pd
 
 from repro.core.features import pipeline_features
-from repro.core.ml2sql import compile_to_sql
+from repro.core.ml2sql import compile_to_sql, prediction_columns_sql
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import CACHE_DIR, fit_pipeline, load_or_build
 from repro.runtime import onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn
 
 OPTIONS = ("none", "sql", "dnn")
+
+#: MLtoSQL label expressions longer than this are priced unusable on Spark
+#: without being sent to Catalyst: around 64 KB of SQL text its generated
+#: Java outgrows the JVM's 64 KB method limit (a 93k-char ensemble fails to
+#: compile, an 80k one does not), the interpreted fallback runs 20-45x
+#: slower than the UDF, and a 284k-char one exhausts the driver heap
+SPARK_MAX_SQL_CHARS = 64 * 1024
 
 
 @dataclass
@@ -130,10 +137,7 @@ def build_corpus(
                 con = duckdb.connect()
                 try:
                     con.register("t", eval_pdf)
-                    q = (
-                        f"SELECT {sqlp.label_sql} AS prediction, "
-                        f"{sqlp.score_sql} AS score FROM t"
-                    )
+                    q = f"SELECT {', '.join(prediction_columns_sql(sqlp))} FROM t"
                     runtimes["sql"] = _measure(lambda: con.execute(q).fetchnumpy())
                 finally:
                     con.close()
@@ -156,8 +160,6 @@ def build_corpus_spark(
     takes in a prediction query (MLtoSQL as a Catalyst expression; none/
     MLtoDNN through the Arrow-vectorized PREDICT UDF) — the §5.2 principle
     that strategies are calibrated on the deployment engine."""
-    from pyspark.sql import functions as F
-
     from repro.runtime import spark_exec
 
     def build() -> list[CorpusEntry]:
@@ -180,26 +182,16 @@ def build_corpus_spark(
             runtimes["none"] = priced(
                 lambda: spark_exec.with_predict_udf(df, p, "onnx")
             )
-            model = p.model_node
-            tree_nodes = (
-                sum(t.n_nodes for t in model.attrs["trees"])
-                if model.op == "tree_ensemble"
-                else 0
-            )
-            if tree_nodes > 4000:
-                # far past Spark's whole-stage-codegen limits: interpreted
-                # giant-CASE evaluation takes minutes — price as unusable
-                # instead of burning the calibration budget measuring it
+            try:
+                sqlp = compile_to_sql(p)
+            except ValueError:
+                sqlp = None
+            if sqlp is None or len(sqlp.label_sql) > SPARK_MAX_SQL_CHARS:
                 runtimes["sql"] = np.inf
             else:
-                try:
-                    sqlp = compile_to_sql(p)
-                    runtimes["sql"] = priced(
-                        lambda: df.withColumn("score", F.expr(sqlp.score_sql))
-                        .withColumn("prediction", F.expr(sqlp.label_sql))
-                    )
-                except ValueError:
-                    runtimes["sql"] = np.inf
+                runtimes["sql"] = priced(
+                    lambda: df.selectExpr("*", *prediction_columns_sql(sqlp))
+                )
             runtimes["dnn"] = priced(
                 lambda: spark_exec.with_predict_udf(df, p, "dnn")
             )

@@ -17,6 +17,12 @@ Both Spark SQL and DuckDB accept the generated dialect (CASE/EXP/CAST).
 Numeric splits compare ``CAST(expr AS FLOAT)`` so the float32 feature
 matrix of the ML runtime and the SQL engine route rows identically —
 residual mismatches are the rounding effects §7.4 quantifies.
+
+This module writes all of the SQL text of a prediction query, and both
+engines run that text: the relational part (:func:`data_select_sql`: star
+join, WHERE, projection), the PREDICT projection
+(:func:`prediction_columns_sql`) and the output filter
+(:func:`output_filter_sql`).
 """
 from __future__ import annotations
 
@@ -24,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ir.graph import Pipeline
+from repro.core.predicate_pruning import Predicate
+from repro.core.query import PredictionQuery
+from repro.ir.graph import Node, Pipeline
 from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import LEAF, Tree
 
@@ -38,7 +46,8 @@ class SqlPrediction:
     input_cols: list[str]
 
 
-def _lit(v: object) -> str:
+def lit(v: object) -> str:
+    """SQL literal: strings quoted as ``'O''Brien'``, numbers as DOUBLE."""
     if isinstance(v, str):
         return "'" + v.replace("'", "''") + "'"
     # scientific notation: both Spark and DuckDB parse plain decimal
@@ -57,19 +66,19 @@ def _sum_sql(parts: list[str]) -> str:
     return f"({_sum_sql(parts[:mid])} + {_sum_sql(parts[mid:])})"
 
 
-def _slot_value_sql(s: Slot) -> str:
+def slot_value_sql(s: Slot) -> str:
     """SQL for the slot's numeric value (used by linear models)."""
     if s.kind == "const":
-        return _lit(s.const)
+        return lit(s.const)
     if s.kind == "num":
         if s.a == 1.0 and s.b == 0.0:
             return f"CAST({s.source} AS DOUBLE)"
-        return f"(CAST({s.source} AS DOUBLE) * {_lit(s.a)} + {_lit(s.b)})"
+        return f"(CAST({s.source} AS DOUBLE) * {lit(s.a)} + {lit(s.b)})"
     # one-hot indicator (possibly scaled)
-    ind = f"(CASE WHEN {s.source} = {_lit(s.category)} THEN 1.0 ELSE 0.0 END)"
+    ind = f"(CASE WHEN {s.source} = {lit(s.category)} THEN 1.0 ELSE 0.0 END)"
     if s.a == 1.0 and s.b == 0.0:
         return ind
-    return f"({ind} * {_lit(s.a)} + {_lit(s.b)})"
+    return f"({ind} * {lit(s.a)} + {lit(s.b)})"
 
 
 def _slot_le_sql(s: Slot, thr: float) -> str | bool:
@@ -79,8 +88,8 @@ def _slot_le_sql(s: Slot, thr: float) -> str | bool:
     if s.kind == "num":
         expr = f"CAST({s.source} AS DOUBLE)"
         if not (s.a == 1.0 and s.b == 0.0):
-            expr = f"({expr} * {_lit(s.a)} + {_lit(s.b)})"
-        return f"CAST({expr} AS FLOAT) <= {_lit(thr)}"
+            expr = f"({expr} * {lit(s.a)} + {lit(s.b)})"
+        return f"CAST({expr} AS FLOAT) <= {lit(thr)}"
     # one-hot: the slot takes value b (category absent) or a+b (present)
     le_if_absent = np.float32(s.b) <= thr
     le_if_present = np.float32(s.a + s.b) <= thr
@@ -89,8 +98,8 @@ def _slot_le_sql(s: Slot, thr: float) -> str | bool:
     if not le_if_absent and not le_if_present:
         return False
     if le_if_present:  # condition holds exactly when category present
-        return f"{s.source} = {_lit(s.category)}"
-    return f"{s.source} <> {_lit(s.category)}"
+        return f"{s.source} = {lit(s.category)}"
+    return f"{s.source} <> {lit(s.category)}"
 
 
 def _tree_case_sql(t: Tree, slots: list[Slot], leaf_sql) -> str:
@@ -112,51 +121,89 @@ def _tree_case_sql(t: Tree, slots: list[Slot], leaf_sql) -> str:
     return rec(0)
 
 
-def compile_to_sql(p: Pipeline) -> SqlPrediction:
-    """Whole-pipeline compilation. Raises ValueError when unsupported."""
-    slots = model_input_slots(p)  # raises for unsupported featurizer shapes
-    model = p.model_node
+def linear_sql(slots: list[Slot], coef, intercept: float) -> tuple[str, str]:
+    """(label, score) of a linear model with one term per given slot."""
+    terms = [f"{slot_value_sql(s)} * {lit(c)}" for s, c in zip(slots, coef)]
+    margin = _sum_sql(terms + [lit(intercept)])
+    return f"CAST(({margin}) > 0.0 AS INT)", f"(1.0 / (1.0 + EXP(-({margin}))))"
 
-    if model.op == "linear_classifier":
-        coef = np.asarray(model.attrs["coef"], dtype=np.float64)
-        terms = [
-            f"{_slot_value_sql(slots[i])} * {_lit(coef[i])}"
-            for i in np.flatnonzero(coef != 0.0)
-        ]
-        margin = _sum_sql(terms + [_lit(model.attrs["intercept"])])
-        return SqlPrediction(
-            label_sql=f"CAST(({margin}) > 0.0 AS INT)",
-            score_sql=f"(1.0 / (1.0 + EXP(-({margin}))))",
-            input_cols=list(p.input_cols),
-        )
 
+def ensemble_sql(model: Node, slots: list[Slot]) -> tuple[str, str]:
+    """(label, score) of a tree ensemble, one nested CASE per tree."""
     if model.op != "tree_ensemble":  # pragma: no cover
         raise ValueError(f"MLtoSQL does not support {model.op}")
-
     kind = model.attrs["kind"]
     trees: list[Tree] = model.attrs["trees"]
     if kind == "gb":
-        parts = [_lit(model.attrs["base_score"])] + [
-            f"({_tree_case_sql(t, slots, lambda n, t=t: _lit(t.value[n, 0]))})"
+        parts = [lit(model.attrs["base_score"])] + [
+            f"({_tree_case_sql(t, slots, lambda n, t=t: lit(t.value[n, 0]))})"
             for t in trees
         ]
         margin = _sum_sql(parts)
-        return SqlPrediction(
-            label_sql=f"CAST({margin} > 0.0 AS INT)",
-            score_sql=f"(1.0 / (1.0 + EXP(-{margin})))",
-            input_cols=list(p.input_cols),
-        )
+        return f"CAST({margin} > 0.0 AS INT)", f"(1.0 / (1.0 + EXP(-{margin})))"
 
     # dt / rf: average class-1 probabilities; binary argmax = p1 > 0.5
     if trees[0].n_out != 2:
         raise ValueError("MLtoSQL tree classification supports binary tasks")
     parts = [
-        f"({_tree_case_sql(t, slots, lambda n, t=t: _lit(t.value[n, 1]))})"
+        f"({_tree_case_sql(t, slots, lambda n, t=t: lit(t.value[n, 1]))})"
         for t in trees
     ]
-    score = f"({_sum_sql(parts)} / {_lit(len(trees))})"
-    return SqlPrediction(
-        label_sql=f"CAST({score} > 0.5 AS INT)",
-        score_sql=score,
-        input_cols=list(p.input_cols),
-    )
+    score = f"({_sum_sql(parts)} / {lit(len(trees))})"
+    return f"CAST({score} > 0.5 AS INT)", score
+
+
+def compile_to_sql(p: Pipeline) -> SqlPrediction:
+    """Whole-pipeline compilation. Raises ValueError when unsupported."""
+    slots = model_input_slots(p)  # raises for unsupported featurizer shapes
+    model = p.model_node
+    if model.op == "linear_classifier":
+        coef = np.asarray(model.attrs["coef"], dtype=np.float64)
+        nz = np.flatnonzero(coef != 0.0)
+        label, score = linear_sql(
+            [slots[i] for i in nz], coef[nz], model.attrs["intercept"]
+        )
+    else:
+        label, score = ensemble_sql(model, slots)
+    return SqlPrediction(label, score, list(p.input_cols))
+
+
+# ----------------------------------------------------------------------
+# The prediction query around the model expressions
+# ----------------------------------------------------------------------
+def predicate_sql(p: Predicate) -> str:
+    """One WHERE conjunct; strings quoted by :func:`lit`, numbers plain."""
+    v = lit(p.value) if isinstance(p.value, str) else repr(float(p.value))
+    return f"{p.col} {p.op} {v}"
+
+
+def data_select_sql(query: PredictionQuery, cols: list[str]) -> str:
+    """Relational part of the prediction query: star join, WHERE and the
+    model's input columns. A fully pruned pipeline (no input column, e.g.
+    an all-zero L1 model) still needs one value per qualifying row, so it
+    selects the constant ``1 AS _one``."""
+    sql = f"SELECT {', '.join(cols) or '1 AS _one'} FROM {query.fact}"
+    for j in query.joins:
+        sql += (
+            f" JOIN {j.dim_table} ON {query.fact}.{j.fact_key} = "
+            f"{j.dim_table}.{j.dim_key}"
+        )
+    if query.where:
+        sql += " WHERE " + " AND ".join(predicate_sql(p) for p in query.where)
+    return sql
+
+
+def prediction_column_sql(sqlp: SqlPrediction) -> str:
+    """The ``prediction`` column: the label as BIGINT, as the UDF returns it."""
+    return f"CAST({sqlp.label_sql} AS BIGINT) AS prediction"
+
+
+def prediction_columns_sql(sqlp: SqlPrediction) -> list[str]:
+    """The MLtoSQL output columns: ``score`` and ``prediction``."""
+    return [f"{sqlp.score_sql} AS score", prediction_column_sql(sqlp)]
+
+
+def output_filter_sql(output_filter: tuple[str, int]) -> str:
+    """The filter on the model output, e.g. ``prediction = 1``."""
+    col, val = output_filter
+    return f"{col} = {int(val)}"

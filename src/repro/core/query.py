@@ -4,7 +4,8 @@ A :class:`PredictionQuery` is the symbolic form of the paper's Fig 2 ①:
 a star join over a fact table, WHERE predicates, and a PREDICT invocation
 of a trained pipeline, optionally filtered on the prediction output. The
 Raven optimizer rewrites this object together with the ML sub-graph;
-:mod:`repro.runtime.spark_exec` lowers it onto DataFrames.
+:func:`repro.core.ml2sql.data_select_sql` renders it as the SQL text both
+engines run.
 """
 from __future__ import annotations
 

@@ -97,10 +97,6 @@ def _planted_label(
     return pd.Series((margin > np.median(margin)).astype(np.int64), index=pdf.index)
 
 
-def _cats(prefix: str, card: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(card)]
-
-
 # ======================================================================
 # Credit Card — 1 table, 28 numeric inputs
 # ======================================================================
@@ -352,13 +348,11 @@ def get_spec(name: str) -> DatasetSpec:
             partition_cols=["num_issues", "rcount"],
         )
     if name == "expedia":
-        doms = {}
-        for _, c, card in _EXPEDIA_CATS:
-            doms[c] = [f"{c}_{i}" for i in range(card)]
+        doms = _dim_domains([(c, card) for _, c, card in _EXPEDIA_CATS])
         return DatasetSpec(
             "expedia", "searches",
             _EXPEDIA_FACT_NUM + _EXPEDIA_HOTEL_NUM,
-            [c for _, c, _ in _EXPEDIA_CATS],
+            list(doms),
             joins=[
                 JoinSpec("hotels", "prop_id", "prop_id"),
                 JoinSpec("destinations", "dest_id", "dest_id"),
@@ -366,16 +360,11 @@ def get_spec(name: str) -> DatasetSpec:
             cat_domains=doms,
         )
     if name == "flights":
-        doms = {}
-        for c, card in (_FLIGHTS_FACT_CATS + _FLIGHTS_AIRLINE_CATS
-                        + _airport_cats("src") + _airport_cats("dst")):
-            doms[c] = [f"{c}_{i}" for i in range(card)]
+        doms = _dim_domains(_FLIGHTS_FACT_CATS + _FLIGHTS_AIRLINE_CATS
+                            + _airport_cats("src") + _airport_cats("dst"))
         return DatasetSpec(
             "flights", "flights", list(_FLIGHTS_NUM),
-            [c for c, _ in _FLIGHTS_FACT_CATS]
-            + [c for c, _ in _FLIGHTS_AIRLINE_CATS]
-            + [c for c, _ in _airport_cats("src")]
-            + [c for c, _ in _airport_cats("dst")],
+            list(doms),
             joins=[
                 JoinSpec("airlines", "airline_id", "airline_id"),
                 JoinSpec("airports_src", "src_airport_id", "src_airport_id"),

@@ -14,6 +14,7 @@ from repro.core.strategies import ClassificationStrategy
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ir.graph import Pipeline
+from repro.runtime.spark_exec import register_pandas_tables
 
 #: benchmark-scale fact-table row counts (paper scales in EXPERIMENTS.md);
 #: wide one-hot datasets run fewer rows to bound per-batch matrices.
@@ -63,11 +64,7 @@ def dataset_env(spark: SparkSession, name: str, n_rows: int, seed: int = 0) -> D
         return _ENV_CACHE[key]
     spec = ds.get_spec(name)
     tables = ds.generate(name, n_rows, seed=seed)
-    catalog = {}
-    for tname, pdf in tables.items():
-        df = spark.createDataFrame(pdf).cache()
-        df.count()  # materialize so timings exclude the driver-side upload
-        catalog[tname] = df
+    catalog = register_pandas_tables(spark, tables)
     env = DatasetEnv(name, spec, tables, catalog, n_rows)
     _ENV_CACHE[key] = env
     return env

@@ -166,10 +166,6 @@ def node_width(p: Pipeline, nid: str) -> int:
     raise ValueError(f"model node {n.op} has no column width")
 
 
-def replace_input(node: Node, old: str, new: str) -> None:
-    node.inputs = [new if i == old else i for i in node.inputs]
-
-
 def model_used_features(model: Node) -> np.ndarray:
     """Sorted feature indices the model actually reads: union of tree split
     features, or indices of nonzero linear coefficients (the densification

@@ -1,11 +1,12 @@
 """Physical execution of (optimized) prediction queries on Apache Spark.
 
-Lowers a :class:`repro.core.optimizer.PhysicalPlan` onto the DataFrame API:
-scans + equi-joins + WHERE filters are Catalyst-planned; the PREDICT step
-is either
+The relational part of a :class:`repro.core.optimizer.PhysicalPlan` (scans,
+equi-joins, WHERE filters, projection) is the SQL text of
+:func:`repro.core.ml2sql.data_select_sql` — the statement DuckDB runs —
+planned by Spark SQL and Catalyst. The PREDICT step is either
 
-- a generated SQL expression (MLtoSQL path, pure Catalyst — Spark's
-  optimizer then pushes the referenced columns/filters further), or
+- the MLtoSQL projection of :mod:`repro.core.ml2sql` (pure Catalyst —
+  Spark's optimizer then pushes the referenced columns/filters further), or
 - an Arrow-vectorized ``mapInPandas`` UDF driving an ML runtime over 10k-
   row batches — the architecture of the paper's Raven Python UDF (§6).
   The pipeline ships to the Python workers inside the UDF's closure and
@@ -21,50 +22,27 @@ from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.core.ml2sql import data_select_sql, output_filter_sql, prediction_columns_sql
 from repro.core.optimizer import PhysicalPlan
-from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 
 #: paper §6: vectorized-UDF batch size of 10k tuples
 UDF_BATCH_ROWS = 10_000
 
 
-def _predicate_cond(p: Predicate):
-    c = F.col(p.col)
-    if p.op == "=":
-        return c == F.lit(p.value)
-    if p.op == "<":
-        return c < F.lit(p.value)
-    if p.op == "<=":
-        return c <= F.lit(p.value)
-    if p.op == ">":
-        return c > F.lit(p.value)
-    if p.op == ">=":
-        return c >= F.lit(p.value)
-    raise ValueError(p.op)
-
-
 def build_input_df(
     catalog: dict[str, DataFrame], query: PredictionQuery, select_cols: list[str]
 ) -> DataFrame:
-    """Joins + filters + projection of the model's input columns."""
-    df = catalog[query.fact]
-    for j in query.joins:
-        dim = catalog[j.dim_table]
-        if j.fact_key == j.dim_key:
-            df = df.join(dim, on=j.fact_key, how="inner")
-        else:
-            df = df.join(dim, on=df[j.fact_key] == dim[j.dim_key], how="inner")
-    for pred in query.where:
-        df = df.filter(_predicate_cond(pred))
-    if not select_cols:
-        # fully-pruned pipeline (e.g. an all-zero L1 model): keep a
-        # constant column so Arrow batches are well-formed
-        return df.select(F.lit(1).alias("_one"))
-    return df.select(*select_cols)
+    """Joins + filters + projection of the model's input columns.
+
+    The query's tables become temp views right before ``spark.sql`` reads
+    them: the returned DataFrame holds the analyzed plan, so other
+    catalogs may reuse the same table names in this SparkSession."""
+    for name in [query.fact] + [j.dim_table for j in query.joins]:
+        catalog[name].createOrReplaceTempView(name)
+    return catalog[query.fact].sparkSession.sql(data_select_sql(query, select_cols))
 
 
 def _prediction_schema(df: DataFrame) -> T.StructType:
@@ -146,9 +124,7 @@ def execute_plan(catalog: dict[str, DataFrame], plan: PhysicalPlan) -> DataFrame
     df = build_input_df(catalog, query, select)
 
     if plan.runtime == "sql":
-        df = df.withColumn("score", F.expr(plan.sql.score_sql)).withColumn(
-            "prediction", F.expr(plan.sql.label_sql).cast("long")
-        )
+        df = df.selectExpr("*", *prediction_columns_sql(plan.sql))
     else:
         df = with_predict_udf(
             df,
@@ -159,8 +135,7 @@ def execute_plan(catalog: dict[str, DataFrame], plan: PhysicalPlan) -> DataFrame
         )
 
     if query.output_filter is not None:
-        col, val = query.output_filter
-        df = df.filter(F.col(col) == F.lit(int(val)))
+        df = df.filter(output_filter_sql(query.output_filter))
     return df
 
 
@@ -170,14 +145,13 @@ def sink(df: DataFrame) -> None:
 
 
 def register_pandas_tables(
-    spark: SparkSession, tables: dict[str, pd.DataFrame], repartition: int | None = None
+    spark: SparkSession, tables: dict[str, pd.DataFrame]
 ) -> dict[str, DataFrame]:
     """pandas -> cached Spark DataFrames (benchmarks pre-cache inputs so
     timings measure the query, not the driver-side upload)."""
     out = {}
     for name, pdf in tables.items():
-        df = spark.createDataFrame(pdf)
-        if repartition:
-            df = df.repartition(repartition)
+        df = spark.createDataFrame(pdf).cache()
+        df.count()  # materialize the cache now
         out[name] = df
     return out

@@ -25,33 +25,13 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-from repro.core.ml2sql import _lit
+from repro.core.ml2sql import data_select_sql, output_filter_sql, prediction_column_sql
 from repro.core.optimizer import PhysicalPlan
-from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.runtime import onnx_rt
 
 PREDICT_BATCH_ROWS = 10_000
-
-
-def _pred_sql(p: Predicate) -> str:
-    # strings share MLtoSQL's quoting ('O''Brien'); numbers stay plain
-    v = _lit(p.value) if isinstance(p.value, str) else repr(float(p.value))
-    return f"{p.col} {p.op} {v}"
-
-
-def data_select_sql(query: PredictionQuery, cols: list[str]) -> str:
-    """Relational part of the prediction query as a SQL string."""
-    sql = f"SELECT {', '.join(cols)} FROM {query.fact}"
-    for j in query.joins:
-        sql += (
-            f" JOIN {j.dim_table} ON {query.fact}.{j.fact_key} = "
-            f"{j.dim_table}.{j.dim_key}"
-        )
-    if query.where:
-        sql += " WHERE " + " AND ".join(_pred_sql(p) for p in query.where)
-    return sql
 
 
 @dataclass
@@ -102,15 +82,15 @@ class SqlServerSim:
     def run_raven_sql(self, plan: PhysicalPlan) -> EngineResult:
         assert plan.runtime == "sql" and plan.sql is not None
         inner = data_select_sql(plan.query, list(plan.input_cols))
+        # labels only: with the score beside it, DuckDB evaluates a tree's
+        # CASE more often (Credit Card DT: 0.21 s against 0.19 s)
         sql = (
-            f"SELECT {plan.sql.label_sql} AS prediction, COUNT(*) AS n "
-            f"FROM ({inner}) GROUP BY 1 ORDER BY 1"
+            "SELECT prediction, COUNT(*) AS n FROM (SELECT "
+            f"{prediction_column_sql(plan.sql)} FROM ({inner}))"
         )
         if plan.query.output_filter is not None:
-            val = int(plan.query.output_filter[1])
-            sql = (
-                f"SELECT prediction, n FROM ({sql}) WHERE prediction = {val}"
-            )
+            sql += " WHERE " + output_filter_sql(plan.query.output_filter)
+        sql += " GROUP BY 1 ORDER BY 1"
         t0 = time.perf_counter()
         agg = self.con.execute(sql).fetchdf()
         return EngineResult(agg, time.perf_counter() - t0)

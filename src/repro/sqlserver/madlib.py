@@ -19,11 +19,11 @@ import time
 
 import pandas as pd
 
-from repro.core.ml2sql import _lit, _sum_sql, _tree_case_sql
+from repro.core.ml2sql import data_select_sql, ensemble_sql, linear_sql, slot_value_sql
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.ir.slots import Slot, model_input_slots
-from repro.sqlserver.engine import EngineResult, SqlServerSim, data_select_sql
+from repro.sqlserver.engine import EngineResult, SqlServerSim
 
 #: PostgreSQL's hard limit the paper runs into
 PG_MAX_COLUMNS = 1600
@@ -33,44 +33,16 @@ def madlib_supported(p: Pipeline) -> bool:
     return p.n_model_features() <= PG_MAX_COLUMNS
 
 
-def _featurize_sql(slots: list[Slot]) -> list[str]:
-    out = []
-    for i, s in enumerate(slots):
-        if s.kind == "const":
-            expr = _lit(s.const)
-        elif s.kind == "num":
-            expr = f"(CAST({s.source} AS DOUBLE) * {_lit(s.a)} + {_lit(s.b)})"
-        else:
-            ind = f"(CASE WHEN {s.source} = {_lit(s.category)} THEN 1.0 ELSE 0.0 END)"
-            expr = ind if s.a == 1.0 and s.b == 0.0 else f"({ind} * {_lit(s.a)} + {_lit(s.b)})"
-        out.append(f"{expr} AS f{i}")
-    return out
-
-
-def _dense_model_sql(p: Pipeline) -> str:
-    """Label expression over materialized dense columns f0..fN."""
-    import numpy as np
-
+def _dense_label_sql(p: Pipeline) -> str:
+    """Label expression over the materialized dense columns f0..fN."""
     model = p.model_node
-    d = p.n_model_features()
-    dense = [Slot("num", source=f"f{i}") for i in range(d)]
+    dense = [Slot("num", source=f"f{i}") for i in range(p.n_model_features())]
     if model.op == "linear_classifier":
-        coef = np.asarray(model.attrs["coef"], dtype=np.float64)
-        terms = [f"f{i} * {_lit(coef[i])}" for i in range(d)]  # dense: no skip
-        margin = _sum_sql(terms + [_lit(model.attrs["intercept"])])
-        return f"CAST(({margin}) > 0.0 AS INT)"
-    trees = model.attrs["trees"]
-    if model.attrs["kind"] == "gb":
-        parts = [_lit(model.attrs["base_score"])] + [
-            f"({_tree_case_sql(t, dense, lambda n, t=t: _lit(t.value[n, 0]))})"
-            for t in trees
-        ]
-        return f"CAST({_sum_sql(parts)} > 0.0 AS INT)"
-    parts = [
-        f"({_tree_case_sql(t, dense, lambda n, t=t: _lit(t.value[n, 1]))})"
-        for t in trees
-    ]
-    return f"CAST(({_sum_sql(parts)} / {_lit(len(trees))}) > 0.5 AS INT)"
+        # every column is scored: no zero-coefficient skipping
+        label, _ = linear_sql(dense, model.attrs["coef"], model.attrs["intercept"])
+    else:
+        label, _ = ensemble_sql(model, dense)
+    return label
 
 
 def run_madlib(
@@ -88,10 +60,10 @@ def run_madlib(
         inner = data_select_sql(query, list(pipeline.input_cols))
         feat_sql = (
             "CREATE TEMP TABLE madlib_feat AS SELECT "
-            + ", ".join(_featurize_sql(slots))
+            + ", ".join(f"{slot_value_sql(s)} AS f{i}" for i, s in enumerate(slots))
             + f" FROM ({inner})"
         )
-        label_sql = _dense_model_sql(pipeline)
+        label_sql = _dense_label_sql(pipeline)
         t0 = time.perf_counter()
         eng.con.execute(feat_sql)  # materialization counted, as in the paper
         agg = eng.con.execute(

@@ -110,10 +110,10 @@ class TestMLtoSQL:
 
     def test_gb_includes_base_score(self, frame):
         p = _ir(frame, "gb", max_depth=2, n_estimators=3)
-        from repro.core.ml2sql import _lit
+        from repro.core.ml2sql import lit
 
         base = p.model_node.attrs["base_score"]
-        assert _lit(float(base)) in compile_to_sql(p).score_sql
+        assert lit(float(base)) in compile_to_sql(p).score_sql
 
 
 class TestMLtoDNN:

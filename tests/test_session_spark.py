@@ -7,8 +7,10 @@ import pandas as pd
 import pytest
 
 from repro import oracle
+from repro.core.ml2sql import data_select_sql
 from repro.core.optimizer import OptimizerConfig
 from repro.core.predicate_pruning import Predicate
+from repro.core.query import PredictionQuery
 from repro.core.session import RavenSession, dataset_query
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
@@ -187,6 +189,44 @@ class TestJoinDatasets:
         )
         np.testing.assert_array_equal(
             out["prediction"].to_numpy(), base["prediction"].to_numpy()
+        )
+
+
+class TestSqlText:
+    def test_input_df_matches_duckdb_on_same_text(self, spark):
+        """Spark and DuckDB run the one ``data_select_sql`` text alike."""
+        spec = ds.get_spec("expedia")
+        tables = ds.generate("expedia", 800, seed=53)
+        catalog = spark_exec.register_pandas_tables(spark, tables)
+        frame = ds.joined_frame("expedia", 800, seed=53)
+        p = _pipeline(spec, frame, "dt", max_depth=3)
+        where = [
+            Predicate("price_usd", ">=", 80.0),
+            Predicate("price_usd", "<", 200.0),
+            Predicate("prop_star", "=", "prop_star_2"),
+        ]
+        query = dataset_query(spec, p, tables, where=where)
+        cols = ["price_usd", "prop_star", "dest_climate", "site_id"]
+        df = spark_exec.build_input_df(catalog, query, cols)
+        assert df.count() > 0
+        oracle.assert_equivalent(df, data_select_sql(query, cols), **tables)
+
+        rng = np.random.default_rng(54)
+        people = pd.DataFrame(
+            {
+                "x": rng.standard_normal(300),
+                "owner": rng.choice(["O'Brien", "Smith", "Lee"], 300),
+            }
+        )
+        # build_input_df reads no pipeline: any one fills the field
+        query = PredictionQuery(
+            "people", p, where=[Predicate("owner", "=", "O'Brien")]
+        )
+        catalog = spark_exec.register_pandas_tables(spark, {"people": people})
+        df = spark_exec.build_input_df(catalog, query, ["x", "owner"])
+        assert df.count() == (people.owner == "O'Brien").sum()
+        oracle.assert_equivalent(
+            df, data_select_sql(query, ["x", "owner"]), people=people
         )
 
 

@@ -111,6 +111,29 @@ class TestSqlServerSim:
         assert base.agg["n"].sum() == (t.owner == "O'Brien").sum()
         pd.testing.assert_frame_equal(base.agg, opt.agg, check_dtype=False)
 
+    @pytest.mark.parametrize("runtime", ["sql", "none"])
+    def test_fully_pruned_pipeline(self, runtime):
+        # an all-zero L1 model reads no input column: the data select
+        # must still yield one row per qualifying tuple
+        spec = ds.get_spec("creditcard")
+        tables = ds.generate("creditcard", 2000, seed=65)
+        p = _ir(spec, tables["creditcard"], "lr", l1=10.0)
+        assert not np.any(p.model_node.attrs["coef"])
+        q = dataset_query(spec, p, tables)
+        plan = RavenOptimizer(OptimizerConfig(runtime=runtime)).optimize(q)
+        assert plan.runtime == runtime and plan.input_cols == []
+        eng = SqlServerSim(tables, threads=1)
+        try:
+            base = eng.run_predict_statement(q, p)
+            if runtime == "sql":
+                opt = eng.run_raven_sql(plan)
+            else:
+                opt = eng.run_raven_predict(plan)
+        finally:
+            eng.close()
+        assert opt.agg["n"].tolist() == [2000]
+        pd.testing.assert_frame_equal(base.agg, opt.agg, check_dtype=False)
+
     def test_dop_control(self, hosp):
         spec, tables, frame = hosp
         for threads in (1, 16):
