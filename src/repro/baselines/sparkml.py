@@ -9,7 +9,6 @@ dataset + model settings, since benchmarks re-time inference only.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 
@@ -29,7 +28,7 @@ from pyspark.ml.feature import (
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.data.datasets import LABEL, DatasetSpec
-from repro.ml.pipeline import CACHE_DIR
+from repro.ml.pipeline import cache_path
 
 log = logging.getLogger(__name__)
 
@@ -82,17 +81,13 @@ def train_sparkml(
     spark: SparkSession, spec: DatasetSpec, train_df: DataFrame, kind: str, **hp
 ) -> PipelineModel:
     """Fit (or load from cache) the pyspark.ml pipeline."""
-    tag = hashlib.sha1(
-        f"{spec.name}/{kind}/{sorted(hp.items())!r}".encode()
-    ).hexdigest()[:16]
-    path = os.path.join(CACHE_DIR, f"sparkml_{tag}")
+    path = cache_path("sparkml", f"{spec.name}/{kind}/{sorted(hp.items())!r}")
     if os.path.exists(path):
         try:
             return PipelineModel.load(path)
         except Exception as e:  # corrupt or partial save: a miss
             log.warning("unreadable model cache entry %s (%r); retraining", path, e)
     model = MLPipeline(stages=_stages(spec, kind, hp)).fit(train_df)
-    os.makedirs(CACHE_DIR, exist_ok=True)
     model.write().overwrite().save(path)
     return model
 

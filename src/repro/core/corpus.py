@@ -8,13 +8,15 @@ trained pipelines whose knobs sweep the ranges Fig 1 reports (inputs
 all four model families, 1–200 trees, depths 2–12), then measures each
 pipeline under {none, MLtoSQL, MLtoDNN} **on this machine** — the paper's
 own protocol ("users can go through this process once to fine-tune the
-strategy on their workload and hardware").
+strategy on their workload and hardware"). The engine that prices them is
+passed in: :func:`price_duckdb` or :func:`spark_pricer`.
 
-Measurements are cached on disk; everything is deterministic in the seed.
+Measurements are cached on disk; the generated pipelines are deterministic
+in the seed.
 """
 from __future__ import annotations
 
-import os
+import logging
 import time
 from dataclasses import dataclass
 
@@ -25,11 +27,14 @@ import pandas as pd
 from repro.core.features import pipeline_features
 from repro.core.ml2sql import compile_to_sql, prediction_columns_sql
 from repro.ir.builder import build_pipeline_ir
-from repro.ml.pipeline import CACHE_DIR, fit_pipeline, load_or_build
+from repro.ir.graph import Pipeline
+from repro.ml.pipeline import fit_pipeline, load_or_build
 from repro.runtime import onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn
 
 OPTIONS = ("none", "sql", "dnn")
+
+log = logging.getLogger(__name__)
 
 #: MLtoSQL label expressions longer than this are priced unusable on Spark
 #: without being sent to Catalyst: around 64 KB of SQL text its generated
@@ -89,8 +94,8 @@ def _measure(fn, reps: int = 2) -> float:
     return best
 
 
-def _corpus_pipelines(n_pipelines: int, n_rows_train: int, n_rows_eval: int,
-                      seed: int):
+def corpus_pipelines(n_pipelines: int, *, n_rows_train: int = 1500,
+                     n_rows_eval: int = 20_000, seed: int = 7):
     """Yield (ir_pipeline, eval_frame) for each corpus member."""
     rng = np.random.default_rng(seed)
     for i in range(n_pipelines):
@@ -107,102 +112,103 @@ def _corpus_pipelines(n_pipelines: int, n_rows_train: int, n_rows_eval: int,
         yield p, eval_pdf
 
 
-def build_corpus(
-    n_pipelines: int = 120, *, n_rows_train: int = 1500, n_rows_eval: int = 20_000,
-    seed: int = 7, cache: bool = True,
-) -> list[CorpusEntry]:
-    """Corpus priced on the single-node engine paths — used by the SQL
+def price_duckdb(p: Pipeline, eval_pdf: pd.DataFrame) -> dict[str, float]:
+    """Price each option on the single-node engine paths — used by the SQL
     Server experiments. The "none" option is priced the way the engine
     actually runs it (PREDICT statement: scan + batched Arrow fetch into
     the ML runtime), not as a bare in-process NumPy call."""
+    runtimes: dict[str, float] = {}
 
-    def build() -> list[CorpusEntry]:
-        entries: list[CorpusEntry] = []
-        for p, eval_pdf in _corpus_pipelines(n_pipelines, n_rows_train, n_rows_eval, seed):
-            runtimes: dict[str, float] = {}
+    def predict_statement():
+        con = duckdb.connect()
+        try:
+            con.register("t", eval_pdf)
+            reader = con.execute("SELECT * FROM t").fetch_record_batch(10_000)
+            for batch in reader:
+                onnx_rt.run(p, batch.to_pandas())
+        finally:
+            con.close()
 
-            def predict_statement():
-                con = duckdb.connect()
-                try:
-                    con.register("t", eval_pdf)
-                    reader = con.execute("SELECT * FROM t").fetch_record_batch(10_000)
-                    for batch in reader:
-                        onnx_rt.run(p, batch.to_pandas())
-                finally:
-                    con.close()
-
-            runtimes["none"] = _measure(predict_statement)
-            try:
-                sqlp = compile_to_sql(p)
-                con = duckdb.connect()
-                try:
-                    con.register("t", eval_pdf)
-                    q = f"SELECT {', '.join(prediction_columns_sql(sqlp))} FROM t"
-                    runtimes["sql"] = _measure(lambda: con.execute(q).fetchnumpy())
-                finally:
-                    con.close()
-            except ValueError:
-                runtimes["sql"] = np.inf
-            dnn = compile_to_dnn(p)
-            runtimes["dnn"] = _measure(lambda: dnn.predict(eval_pdf))
-            entries.append(CorpusEntry(pipeline_features(p), runtimes))
-        return entries
-
-    path = os.path.join(CACHE_DIR, f"corpus_v2_{n_pipelines}_{n_rows_eval}_{seed}.pkl")
-    return load_or_build(path, build) if cache else build()
+    runtimes["none"] = _measure(predict_statement)
+    try:
+        sqlp = compile_to_sql(p)
+        con = duckdb.connect()
+        try:
+            con.register("t", eval_pdf)
+            q = f"SELECT {', '.join(prediction_columns_sql(sqlp))} FROM t"
+            runtimes["sql"] = _measure(lambda: con.execute(q).fetchnumpy())
+        finally:
+            con.close()
+    except ValueError:
+        runtimes["sql"] = np.inf
+    dnn = compile_to_dnn(p)
+    runtimes["dnn"] = _measure(lambda: dnn.predict(eval_pdf))
+    return runtimes
 
 
-def build_corpus_spark(
-    spark, n_pipelines: int = 120, *, n_rows_train: int = 1500,
-    n_rows_eval: int = 20_000, seed: int = 7, cache: bool = True,
-) -> list[CorpusEntry]:
-    """Corpus priced on the *Spark* execution paths each option actually
-    takes in a prediction query (MLtoSQL as a Catalyst expression; none/
-    MLtoDNN through the Arrow-vectorized PREDICT UDF) — the §5.2 principle
-    that strategies are calibrated on the deployment engine."""
+def spark_pricer(spark):
+    """Price each option on the *Spark* execution path it actually takes in
+    a prediction query (MLtoSQL as a Catalyst expression; none/MLtoDNN
+    through the Arrow-vectorized PREDICT UDF) — the §5.2 principle that
+    strategies are calibrated on the deployment engine."""
     from repro.runtime import spark_exec
 
+    def price_spark(p: Pipeline, eval_pdf: pd.DataFrame) -> dict[str, float]:
+        df = spark.createDataFrame(eval_pdf).cache()
+        df.count()
+        runtimes: dict[str, float] = {}
+
+        def priced(make_df) -> float:
+            # an option that crashes the engine (e.g. codegen limits on
+            # giant expressions) is priced as unusable, not fatal
+            try:
+                return _measure(lambda: spark_exec.sink(make_df()), reps=1)
+            except Exception:
+                return np.inf
+
+        runtimes["none"] = priced(
+            lambda: spark_exec.with_predict_udf(df, p, "onnx")
+        )
+        try:
+            sqlp = compile_to_sql(p)
+        except ValueError:
+            sqlp = None
+        if sqlp is None or len(sqlp.label_sql) > SPARK_MAX_SQL_CHARS:
+            runtimes["sql"] = np.inf
+        else:
+            runtimes["sql"] = priced(
+                lambda: df.selectExpr("*", *prediction_columns_sql(sqlp))
+            )
+        runtimes["dnn"] = priced(
+            lambda: spark_exec.with_predict_udf(df, p, "dnn")
+        )
+        df.unpersist()
+        return runtimes
+
+    return price_spark
+
+
+def build_corpus(
+    price, n_pipelines: int = 120, *, n_rows_train: int = 1500,
+    n_rows_eval: int = 20_000, seed: int = 7,
+) -> list[CorpusEntry]:
+    """The generated corpus, each member priced by ``price(p, eval_pdf)``
+    (:func:`price_duckdb`, or :func:`spark_pricer` for Spark). A member no
+    option can run is left out. Cached per pricer and corpus settings."""
+
     def build() -> list[CorpusEntry]:
         entries: list[CorpusEntry] = []
-        for i, (p, eval_pdf) in enumerate(
-            _corpus_pipelines(n_pipelines, n_rows_train, n_rows_eval, seed)
-        ):
-            df = spark.createDataFrame(eval_pdf).cache()
-            df.count()
-            runtimes: dict[str, float] = {}
-
-            def priced(make_df) -> float:
-                # an option that crashes the engine (e.g. codegen limits on
-                # giant expressions) is priced as unusable, not fatal
-                try:
-                    return _measure(lambda: spark_exec.sink(make_df()), reps=1)
-                except Exception:
-                    return np.inf
-
-            runtimes["none"] = priced(
-                lambda: spark_exec.with_predict_udf(df, p, "onnx")
-            )
-            try:
-                sqlp = compile_to_sql(p)
-            except ValueError:
-                sqlp = None
-            if sqlp is None or len(sqlp.label_sql) > SPARK_MAX_SQL_CHARS:
-                runtimes["sql"] = np.inf
-            else:
-                runtimes["sql"] = priced(
-                    lambda: df.selectExpr("*", *prediction_columns_sql(sqlp))
-                )
-            runtimes["dnn"] = priced(
-                lambda: spark_exec.with_predict_udf(df, p, "dnn")
-            )
-            df.unpersist()
+        for i, (p, eval_pdf) in enumerate(corpus_pipelines(
+            n_pipelines, n_rows_train=n_rows_train, n_rows_eval=n_rows_eval, seed=seed,
+        )):
+            runtimes = price(p, eval_pdf)
             if not all(np.isinf(v) for v in runtimes.values()):
                 entries.append(CorpusEntry(pipeline_features(p), runtimes))
-            print(f"[corpus-spark] {i + 1}/{n_pipelines} {runtimes}", flush=True)
+            log.info("corpus %s: %d/%d %s", price.__name__, i + 1, n_pipelines, runtimes)
         return entries
 
-    path = os.path.join(CACHE_DIR, f"corpus_spark_{n_pipelines}_{n_rows_eval}_{seed}.pkl")
-    return load_or_build(path, build) if cache else build()
+    key = f"{price.__name__}/{n_pipelines}/{n_rows_train}/{n_rows_eval}/{seed}"
+    return load_or_build("corpus", key, build)
 
 
 def corpus_matrices(entries: list[CorpusEntry]):

@@ -72,6 +72,11 @@ class PartitionedModels:
     pruned_cols: dict[str, list[str]]
 
     @property
+    def input_cols(self) -> set[str]:
+        """Every partition model's inputs, plus the partition column."""
+        return {self.partition_col}.union(*(m.input_cols for m in self.models.values()))
+
+    @property
     def avg_pruned_cols(self) -> float:
         if not self.pruned_cols:
             return 0.0
@@ -79,11 +84,7 @@ class PartitionedModels:
 
 
 def compile_partitioned_models(
-    p: Pipeline,
-    pdf: pd.DataFrame,
-    partition_col: str,
-    num_cols: list[str],
-    cat_cols: list[str],
+    p: Pipeline, pdf: pd.DataFrame, partition_col: str
 ) -> PartitionedModels:
     """§4.2: per-partition stats -> per-partition pruned+densified model.
 
@@ -94,13 +95,11 @@ def compile_partitioned_models(
     """
     models: dict[str, Pipeline] = {}
     pruned: dict[str, list[str]] = {}
-    base_inputs = set(p.input_cols)
+    kinds = {n.attrs["name"]: n.attrs["kind"] for n in p.input_nodes()}
+    num_cols = [c for c, k in kinds.items() if k == "num"]
+    cat_cols = [c for c, k in kinds.items() if k == "cat"]
     for v, part in pdf.groupby(partition_col, sort=True):
-        stats = collect_stats_pandas(
-            part,
-            [c for c in num_cols if c in base_inputs],
-            [c for c in cat_cols if c in base_inputs],
-        )
+        stats = collect_stats_pandas(part, num_cols, cat_cols)
         pr = apply_data_induced_pruning(p, stats)
         pushed = apply_projection_pushdown(pr.pipeline)
         models[str(v)] = pushed.pipeline

@@ -5,7 +5,7 @@ Pass order follows §5.2 exactly:
 1. predicate-based model pruning (before projection pushdown — "the former
    can enable further application of the latter"),
 2. output-predicate pruning,
-3. data-induced pruning (global statistics or per-partition models),
+3. data-induced pruning (per-partition models),
 4. model-projection pushdown,
 5. join elimination on the relational side,
 6. logical-to-physical runtime selection via the configured strategy
@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.data_induced import (
-    ColumnStats,
-    PartitionedModels,
-    apply_data_induced_pruning,
-    compile_partitioned_models,
-)
+from repro.core.data_induced import PartitionedModels, compile_partitioned_models
 from repro.core.ml2sql import SqlPrediction, compile_to_sql
 from repro.core.predicate_pruning import (
     apply_output_predicate_pruning,
@@ -61,7 +56,11 @@ class PhysicalPlan:
 
     @property
     def input_cols(self) -> list[str]:
-        return self.pipeline.input_cols
+        """What the relational side must supply: with per-partition models,
+        the union of their inputs and the partition column for dispatch."""
+        if self.partition_models is None:
+            return self.pipeline.input_cols
+        return sorted(set(self.pipeline.input_cols) | self.partition_models.input_cols)
 
 
 class RavenOptimizer:
@@ -70,15 +69,7 @@ class RavenOptimizer:
     def __init__(self, config: OptimizerConfig | None = None):
         self.config = config or OptimizerConfig()
 
-    def optimize(
-        self,
-        query: PredictionQuery,
-        *,
-        stats: ColumnStats | None = None,
-        partition_sample=None,
-        num_cols: list[str] | None = None,
-        cat_cols: list[str] | None = None,
-    ) -> PhysicalPlan:
+    def optimize(self, query: PredictionQuery, *, partition_sample=None) -> PhysicalPlan:
         cfg = self.config
         p = query.pipeline
         removed: list[str] = []
@@ -95,13 +86,8 @@ class RavenOptimizer:
         partition_models = None
         if cfg.enable_data_induced and query.partition_col and partition_sample is not None:
             partition_models = compile_partitioned_models(
-                p, partition_sample, query.partition_col,
-                num_cols or [], cat_cols or [],
+                p, partition_sample, query.partition_col
             )
-        elif cfg.enable_data_induced and stats is not None:
-            res = apply_data_induced_pruning(p, stats)
-            p = res.pipeline
-            pruned_nodes += res.pruned_nodes
 
         if cfg.enable_projection_pushdown:
             res = apply_projection_pushdown(p)
@@ -111,10 +97,7 @@ class RavenOptimizer:
         # -- relational: join elimination after column pruning -----------
         needed = set(p.input_cols) | query.predicate_cols()
         if partition_models is not None:
-            # per-partition models may need different columns; execution
-            # feeds the union, plus the partition column for dispatch
-            needed |= {c for m in partition_models.models.values() for c in m.input_cols}
-            needed.add(query.partition_col)
+            needed |= partition_models.input_cols
         kept_joins: list[Join] = []
         eliminated: list[str] = []
         for j in query.joins:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.data_induced import ColumnStats
 from repro.core.optimizer import OptimizerConfig, PhysicalPlan, RavenOptimizer
 from repro.core.parser import parse_prediction_query
 from repro.core.query import Join, PredictionQuery
@@ -37,20 +36,10 @@ class RavenSession:
 
     # -- optimization ---------------------------------------------------
     def optimize(
-        self,
-        query: PredictionQuery,
-        *,
-        stats: ColumnStats | None = None,
-        partition_sample: pd.DataFrame | None = None,
-        num_cols: list[str] | None = None,
-        cat_cols: list[str] | None = None,
+        self, query: PredictionQuery, *, partition_sample: pd.DataFrame | None = None
     ) -> PhysicalPlan:
         return RavenOptimizer(self.config).optimize(
-            query,
-            stats=stats,
-            partition_sample=partition_sample,
-            num_cols=num_cols,
-            cat_cols=cat_cols,
+            query, partition_sample=partition_sample
         )
 
     # -- execution ------------------------------------------------------

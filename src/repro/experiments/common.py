@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.corpus import build_corpus
+from repro.core.corpus import build_corpus, price_duckdb, spark_pricer
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import RavenSession
 from repro.core.strategies import ClassificationStrategy
@@ -89,11 +89,9 @@ def classification_strategy(
     experiments the single-node one."""
     if engine not in _STRATEGIES:
         if engine == "spark":
-            from repro.core.corpus import build_corpus_spark
-
             assert spark is not None, "spark session required for engine='spark'"
-            entries = build_corpus_spark(spark)
+            entries = build_corpus(spark_pricer(spark))
         else:
-            entries = build_corpus()
+            entries = build_corpus(price_duckdb)
         _STRATEGIES[engine] = ClassificationStrategy().fit(entries)
     return _STRATEGIES[engine]

@@ -55,10 +55,7 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
                 OptimizerConfig(enable_data_induced=True, runtime="none"),
                 spark,
             )
-            plan = sess.optimize(
-                q, partition_sample=frame,
-                num_cols=env.spec.num_cols, cat_cols=env.spec.cat_cols,
-            )
+            plan = sess.optimize(q, partition_sample=frame)
             rec[f"raven_{scheme}"] = timeit_trimmed(
                 lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
             )

@@ -8,7 +8,7 @@ tightest spread (p25 = 0.94 vs 0.72 rule / 0.83 regression).
 from __future__ import annotations
 
 from repro.bench_util import print_table
-from repro.core.corpus import build_corpus, corpus_matrices
+from repro.core.corpus import build_corpus, corpus_matrices, price_duckdb
 from repro.core.strategies import evaluate_strategies
 
 PAPER = {
@@ -19,7 +19,7 @@ PAPER = {
 
 
 def run(n_pipelines: int = 120, n_repeats: int = 40, seed: int = 0) -> list[dict]:
-    entries = build_corpus(n_pipelines)
+    entries = build_corpus(price_duckdb, n_pipelines)
     _, y, _ = corpus_matrices(entries)
     import numpy as np
 

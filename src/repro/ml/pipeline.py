@@ -14,7 +14,7 @@ import hashlib
 import logging
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -136,18 +136,30 @@ def fit_pipeline(
 # ----------------------------------------------------------------------
 # Disk cache: jobs, tests, and benchmarks retrain the same pipelines many
 # times; training the larger gradient-boosting models is the expensive part.
-# The one cache directory of the code base (pipelines here, corpora in
-# repro.core.corpus, pyspark.ml models in repro.baselines.sparkml). It is
-# read at import, so ``REPRO_MODEL_CACHE`` must be set before repro loads.
+# The one cache directory of the code base and the one place its keys are
+# made (pipelines here, corpora in repro.core.corpus, pyspark.ml models in
+# repro.baselines.sparkml). ``REPRO_MODEL_CACHE`` is read at import, so it
+# must be set before repro loads; ``CACHE_DIR`` is read at each call.
 CACHE_DIR = os.environ.get(
     "REPRO_MODEL_CACHE", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache")
 )
 
+#: part of every key: bump it when a cached object's format changes, so a
+#: stale entry that still unpickles is a miss instead of being trusted
+CACHE_VERSION = 3
 
-def load_or_build(path: str, build):
-    """Unpickle the cache entry ``path``, or ``build()`` it and write it
+
+def cache_path(kind: str, key: str) -> str:
+    """The cache entry for ``key`` (any string naming what is cached)."""
+    tag = hashlib.sha1(f"v{CACHE_VERSION}/{key}".encode()).hexdigest()[:16]
+    return os.path.join(CACHE_DIR, f"{kind}_{tag}")
+
+
+def load_or_build(kind: str, key: str, build):
+    """Unpickle the cache entry for ``key``, or ``build()`` it and write it
     atomically. An entry that does not unpickle (corrupt, truncated, from
     an incompatible version) is a miss: logged, rebuilt and rewritten."""
+    path = cache_path(kind, key) + ".pkl"
     if os.path.exists(path):
         try:
             with open(path, "rb") as f:
@@ -171,10 +183,8 @@ def fit_pipeline_cached(pdf: pd.DataFrame, key: str, **kwargs) -> TrainedPipelin
     """``fit_pipeline`` with a pickle cache keyed by ``key`` + hyperparams.
 
     ``key`` must identify the training frame (dataset name, rows, seed);
-    hyperparameters are folded into the cache filename automatically.
+    hyperparameters are folded into the cache key automatically.
     """
-    tag = hashlib.sha1(
-        (key + repr(sorted(kwargs.items()))).encode()
-    ).hexdigest()[:16]
-    path = os.path.join(CACHE_DIR, f"pipeline_{tag}.pkl")
-    return load_or_build(path, lambda: fit_pipeline(pdf, **kwargs))
+    return load_or_build(
+        "pipeline", key + repr(sorted(kwargs.items())), lambda: fit_pipeline(pdf, **kwargs)
+    )

@@ -112,16 +112,7 @@ def with_predict_udf(
 def execute_plan(catalog: dict[str, DataFrame], plan: PhysicalPlan) -> DataFrame:
     """Full query: data plan -> PREDICT -> output filter."""
     query = plan.query
-    select = list(plan.input_cols)
-    if plan.partition_models is not None:
-        extra = {
-            c
-            for m in plan.partition_models.models.values()
-            for c in m.input_cols
-        }
-        extra.add(query.partition_col)
-        select = sorted(set(select) | extra)
-    df = build_input_df(catalog, query, select)
+    df = build_input_df(catalog, query, list(plan.input_cols))
 
     if plan.runtime == "sql":
         df = df.selectExpr("*", *prediction_columns_sql(plan.sql))

@@ -11,6 +11,9 @@ columnstore engine with a configurable degree of parallelism
 - :meth:`SqlServerSim.run_raven_sql` — Raven's output: the whole optimized
   prediction query (including the MLtoSQL-translated model) as one SQL
   statement the engine plans end-to-end.
+- :meth:`SqlServerSim.run_raven_predict` — an optimized plan whose runtime
+  is not SQL: the PREDICT path over the pruned columns, into the MLtoDNN
+  model for ``dnn`` and the ML runtime for ``none``.
 
 Per the paper's protocol, prediction queries on this engine end in an
 aggregate over the predictions (``GROUP BY prediction``), so timings don't
@@ -30,6 +33,7 @@ from repro.core.optimizer import PhysicalPlan
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.runtime import onnx_rt
+from repro.runtime.dnn_rt import compile_to_dnn
 
 PREDICT_BATCH_ROWS = 10_000
 
@@ -60,14 +64,18 @@ class SqlServerSim:
     def run_predict_statement(
         self, query: PredictionQuery, pipeline: Pipeline
     ) -> EngineResult:
-        cols = list(pipeline.input_cols)
-        sql = data_select_sql(query, cols)
+        return self._predict_batches(
+            query, pipeline.input_cols, lambda pdf: onnx_rt.run(pipeline, pdf)[0]
+        )
+
+    def _predict_batches(self, query: PredictionQuery, cols, predict) -> EngineResult:
+        """Stream the query's rows in batches into ``predict(pdf) -> labels``."""
+        sql = data_select_sql(query, list(cols))
         t0 = time.perf_counter()
         reader = self.con.execute(sql).fetch_record_batch(PREDICT_BATCH_ROWS)
         counts: dict[int, int] = {}
         for batch in reader:
-            pdf = batch.to_pandas()
-            label, _ = onnx_rt.run(pipeline, pdf)
+            label = predict(batch.to_pandas())
             if query.output_filter is not None:
                 label = label[label == int(query.output_filter[1])]
             for k, c in zip(*np.unique(label, return_counts=True)):
@@ -95,9 +103,15 @@ class SqlServerSim:
         agg = self.con.execute(sql).fetchdf()
         return EngineResult(agg, time.perf_counter() - t0)
 
-    # -- Raven plan that still needs the ML runtime ---------------------
+    # -- Raven plan that still needs a runtime ----------------------------
     def run_raven_predict(
         self, plan: PhysicalPlan
     ) -> EngineResult:
-        """Raven logical opts applied, runtime = ML (column-pruned scan)."""
+        """Raven logical opts applied, column-pruned scan into the plan's
+        runtime: the MLtoDNN model for ``dnn``, the ML runtime otherwise."""
+        if plan.runtime == "dnn":
+            dnn = compile_to_dnn(plan.pipeline)
+            return self._predict_batches(
+                plan.query, plan.input_cols, lambda pdf: dnn.predict(pdf)[0]
+            )
         return self.run_predict_statement(plan.query, plan.pipeline)

@@ -279,9 +279,7 @@ class TestDataInduced:
 
     def test_partitioned_models_equivalent_per_partition(self, frame):
         p = _ir(frame, "dt", max_depth=8)
-        pm = compile_partitioned_models(
-            p, frame, "smoker", ["age", "bpm", "weight"], ["asthma", "smoker"]
-        )
+        pm = compile_partitioned_models(p, frame, "smoker")
         assert set(pm.models) == {"no", "yes", "quit"}
         for v, mp in pm.models.items():
             part = frame[frame.smoker == v]
@@ -291,9 +289,7 @@ class TestDataInduced:
 
     def test_partitioned_prunes_partition_column_itself(self, frame):
         p = _ir(frame, "dt", max_depth=8)
-        pm = compile_partitioned_models(
-            p, frame, "smoker", ["age", "bpm", "weight"], ["asthma", "smoker"]
-        )
+        pm = compile_partitioned_models(p, frame, "smoker")
         # within one partition the smoker one-hot block is constant, so
         # every per-partition model should have dropped the smoker input
         for v, mp in pm.models.items():

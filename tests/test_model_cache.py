@@ -1,5 +1,6 @@
 """The model cache treats an unreadable entry as a miss: it logs the entry,
-rebuilds it and rewrites it atomically instead of failing the caller."""
+rebuilds it and rewrites it atomically instead of failing the caller. An
+entry written under another cache version is a miss too."""
 import logging
 import pickle
 
@@ -42,10 +43,20 @@ def test_garbage_pipeline_entry_is_rebuilt(tmp_path, monkeypatch, caplog):
 
 
 def test_garbage_corpus_entry_is_rebuilt(tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(corpus, "CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(ml_pipeline, "CACHE_DIR", str(tmp_path))
     # a corpus with no members: nothing is trained or priced
     rebuilt, on_disk = _rebuilds_garbage_entry(
         tmp_path, caplog, "corpus_*.pkl",
-        lambda: corpus.build_corpus(0, n_rows_eval=10, seed=1),
+        lambda: corpus.build_corpus(corpus.price_duckdb, 0, n_rows_eval=10, seed=1),
     )
     assert rebuilt == on_disk == []
+
+
+def test_entry_of_another_cache_version_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(ml_pipeline, "CACHE_DIR", str(tmp_path))
+    version = ml_pipeline.CACHE_VERSION
+    monkeypatch.setattr(ml_pipeline, "CACHE_VERSION", version - 1)
+    assert ml_pipeline.load_or_build("corpus", "k", lambda: "old") == "old"
+    monkeypatch.setattr(ml_pipeline, "CACHE_VERSION", version)
+    assert ml_pipeline.load_or_build("corpus", "k", lambda: "new") == "new"
+    assert len(list(tmp_path.glob("corpus_*.pkl"))) == 2

@@ -132,10 +132,7 @@ class TestHospitalEndToEnd:
             spark, catalog, tables,
             OptimizerConfig(enable_data_induced=True, runtime="none"),
         )
-        plan = raven.optimize(
-            query, partition_sample=frame,
-            num_cols=spec.num_cols, cat_cols=spec.cat_cols,
-        )
+        plan = raven.optimize(query, partition_sample=frame)
         assert plan.partition_models is not None
         assert len(plan.partition_models.models) == 6
         opt = _collect(raven.execute_plan(plan))

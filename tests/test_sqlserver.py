@@ -12,6 +12,7 @@ from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
+from repro.runtime import dnn_rt
 from repro.sqlserver.engine import SqlServerSim, data_select_sql
 from repro.sqlserver.madlib import madlib_supported, run_madlib
 
@@ -157,6 +158,33 @@ class TestSqlServerSim:
         finally:
             eng.close()
         pd.testing.assert_frame_equal(base.agg, opt.agg)
+
+    def test_raven_predict_runs_dnn_plan(self, hosp, monkeypatch):
+        spec, tables, frame = hosp
+        p = _ir(spec, frame, "gb", max_depth=3, n_estimators=5)
+        plan = RavenOptimizer(OptimizerConfig(runtime="dnn")).optimize(
+            dataset_query(spec, p, tables)
+        )
+        assert plan.runtime == "dnn"
+        batches = []
+        predict = dnn_rt.DnnModel.predict
+
+        def spy(model, pdf):
+            batches.append(len(pdf))
+            return predict(model, pdf)
+
+        monkeypatch.setattr(dnn_rt.DnnModel, "predict", spy)
+        eng = SqlServerSim(tables, threads=1)
+        try:
+            res = eng.run_raven_predict(plan)
+        finally:
+            eng.close()
+        rows = tables[spec.fact][plan.input_cols]
+        assert sum(batches) == len(rows)
+        label, _ = predict(dnn_rt.compile_to_dnn(plan.pipeline), rows)
+        k, n = np.unique(label, return_counts=True)
+        assert res.agg["prediction"].tolist() == k.tolist()
+        assert res.agg["n"].tolist() == n.tolist()
 
 
 class TestMadlib:

@@ -4,16 +4,22 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.corpus import OPTIONS, build_corpus, corpus_matrices
+from repro.core.corpus import (
+    OPTIONS,
+    build_corpus,
+    corpus_matrices,
+    corpus_pipelines,
+    price_duckdb,
+)
 from repro.core.features import FEATURE_NAMES, pipeline_features
 from repro.core.strategies import (
     ClassificationStrategy,
-    HeuristicStrategy,
     RegressionStrategy,
     RuleBasedStrategy,
     evaluate_strategies,
 )
 from repro.ir.builder import build_pipeline_ir
+from repro.ml import pipeline as ml_pipeline
 from repro.ml.pipeline import fit_pipeline
 
 
@@ -40,7 +46,7 @@ def _ir(frame, kind, **kw):
 @pytest.fixture(scope="module")
 def corpus():
     # small deterministic corpus for fast tests (bench uses the full one)
-    return build_corpus(30, n_rows_eval=5000, seed=3, cache=False)
+    return build_corpus(price_duckdb, 30, n_rows_eval=5000, seed=3)
 
 
 class TestFeatures:
@@ -102,23 +108,42 @@ class TestCorpus:
         assert len(np.unique(y)) >= 2
 
     def test_deterministic_given_seed(self):
-        a = build_corpus(5, n_rows_eval=2000, seed=9, cache=False)
-        b = build_corpus(5, n_rows_eval=2000, seed=9, cache=False)
-        for ea, eb in zip(a, b):
-            np.testing.assert_array_equal(ea.features, eb.features)
+        a = corpus_pipelines(5, n_rows_eval=2000, seed=9)
+        b = corpus_pipelines(5, n_rows_eval=2000, seed=9)
+        for (pa, _), (pb, _) in zip(a, b):
+            np.testing.assert_array_equal(pipeline_features(pa), pipeline_features(pb))
+
+    def test_builder_pairs_features_with_pricer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ml_pipeline, "CACHE_DIR", str(tmp_path))
+        calls = []
+
+        def price_stub(p, eval_pdf):
+            calls.append(len(eval_pdf))
+            # the second member runs on no option: left out of the corpus
+            t = np.inf if len(calls) == 2 else 1.0
+            return {"none": t, "sql": t, "dnn": t}
+
+        def build():
+            return build_corpus(price_stub, 3, n_rows_train=300, n_rows_eval=50, seed=4)
+
+        entries = build()
+        assert calls == [50, 50, 50]
+        generated = [
+            pipeline_features(p)
+            for p, _ in corpus_pipelines(3, n_rows_train=300, n_rows_eval=50, seed=4)
+        ]
+        assert len(entries) == 2
+        for e, f in zip(entries, [generated[0], generated[2]]):
+            np.testing.assert_array_equal(e.features, f)
+            assert e.runtimes == {"none": 1.0, "sql": 1.0, "dnn": 1.0}
+        # a second call reads the cache: the pricer is not called again
+        again = build()
+        assert len(calls) == 3
+        for e, f in zip(again, entries):
+            np.testing.assert_array_equal(e.features, f.features)
 
 
 class TestStrategies:
-    def test_heuristic_choices(self, frame):
-        s = HeuristicStrategy()
-        assert s.choose(_ir(frame, "lr", l1=0.01)) == "sql"
-        assert s.choose(_ir(frame, "dt", max_depth=5)) == "sql"
-        assert s.choose(_ir(frame, "gb", max_depth=5, n_estimators=60)) == "none"
-
-    def test_heuristic_gpu_unlocks_dnn(self, frame):
-        s = HeuristicStrategy(gpu_available=True, sql_max_nodes=10)
-        assert s.choose(_ir(frame, "gb", max_depth=6, n_estimators=80)) == "dnn"
-
     @pytest.mark.parametrize(
         "cls", [RuleBasedStrategy, ClassificationStrategy, RegressionStrategy]
     )
